@@ -5,14 +5,16 @@ NumPy the analogous optimisation is to advance *all* pairings one round at a
 time with fancy indexing, so the per-round work is a handful of vector ops
 instead of a Python-level loop per game.
 
-Two entry points:
+Entry points:
 
 * :func:`play_pairs` — arbitrary (a, b) pairings given as index arrays;
+* :func:`play_pairs_uniforms` — the same round loop over pre-stacked
+  tables and a pre-drawn uniform block (the batched sampled engine's kernel);
 * :func:`payoff_matrix` — all ordered pairs among K strategies at once,
   which is exactly the per-generation fitness kernel of the population model
   (every SSet plays every strategy).
 
-Both are bit-for-bit equal to :func:`repro.core.game.play_game` for pure
+All are bit-for-bit equal to :func:`repro.core.game.play_game` for pure
 strategies without noise, and distributionally equal otherwise (they are
 validated against the scalar engine in the test suite).
 """
@@ -71,30 +73,75 @@ def _mirror_row(n_states: int) -> np.ndarray:
     return mirror
 
 
-def _moves_from_tables(
-    tables: np.ndarray,
-    idx: np.ndarray,
-    views: np.ndarray,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Moves for each game given the (possibly mixed) stacked tables."""
-    entry = tables[idx, views]
-    if tables.dtype == np.uint8:
-        return entry
-    if rng is None:
-        raise ConfigurationError("mixed strategies require an rng")
-    return (rng.random(entry.shape) < entry).astype(np.uint8)
+def _check_pairs(
+    a_idx: np.ndarray, b_idx: np.ndarray, rounds: int, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``intp`` copies of a batch's table-row indices.
+
+    A negative index would otherwise silently play the last table.
+    """
+    if rounds < 1:
+        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+    a_idx = np.asarray(a_idx, dtype=np.intp)
+    b_idx = np.asarray(b_idx, dtype=np.intp)
+    if a_idx.shape != b_idx.shape or a_idx.ndim != 1:
+        raise ConfigurationError("a_idx and b_idx must be equal-length 1-D arrays")
+    for name, idx in (("a_idx", a_idx), ("b_idx", b_idx)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+            bad = idx[(idx < 0) | (idx >= n_rows)][0]
+            raise ConfigurationError(
+                f"{name} holds row {bad}, outside the {n_rows} stacked tables"
+            )
+    return a_idx, b_idx
 
 
-def _apply_noise(
-    moves: np.ndarray, noise: float, rng: np.random.Generator | None
-) -> np.ndarray:
-    if noise <= 0.0:
-        return moves
-    if rng is None:
-        raise ConfigurationError("noise > 0 requires an rng")
-    flips = (rng.random(moves.shape) < noise).astype(np.uint8)
-    return moves ^ flips
+def _play_rounds(xb, tables, a_idx, b_idx, rounds, payoff, noise, uniforms):
+    """The round loop behind :func:`play_pairs` and
+    :func:`play_pairs_uniforms`, on the ``repro.xp`` seam.
+
+    B's view is always ``mirror[A's view]``, so each game tracks one view
+    and reads B's move from a pre-mirrored copy of the tables.  The noise
+    flips of every round are compared against ``noise`` up front into one
+    ``2*flip_a + flip_b`` code block, so a round costs two flat gathers,
+    the move code, two payoff gathers and the view update.  Both payoffs
+    accumulate in round order, as the scalar engine's do.
+    """
+    xp = xb.xp
+    n_states = tables.shape[1]
+    mixed = tables.dtype != np.uint8
+    mirrored = tables[:, _mirror_row(n_states)]
+    if mixed:
+        flat_a, flat_b = tables.ravel(), mirrored.ravel()
+    else:  # pure moves pre-shifted into their code bits
+        flat_a = 2 * tables.astype(np.int64).ravel()
+        flat_b = mirrored.astype(np.int64).ravel()
+    flat_a, flat_b = xb.to_device(flat_a), xb.to_device(flat_b)
+    off_a = xb.to_device(a_idx * n_states)
+    off_b = xb.to_device(b_idx * n_states)
+    u = xb.to_device(uniforms)
+    if noise > 0.0:
+        noise_a, noise_b = (1, 3) if mixed else (0, 1)
+        flips = 2 * (u[:, noise_a] < noise).astype(xp.int64) + (
+            u[:, noise_b] < noise
+        )
+    mix_b = 2 if noise > 0.0 else 1
+    vec = xb.to_device(payoff.vector)
+    vec_b = xb.to_device(payoff.vector[[0, 2, 1, 3]])  # B's payoff per code
+    views = xp.zeros(a_idx.shape[0], dtype=xp.int64)
+    pay_a = pay_b = xp.zeros(a_idx.shape[0], dtype=xp.float64)
+    for r in range(rounds):
+        if mixed:
+            code = 2 * (u[r, 0] < flat_a[off_a + views]) + (
+                u[r, mix_b] < flat_b[off_b + views]
+            )
+        else:
+            code = flat_a[off_a + views] | flat_b[off_b + views]
+        if noise > 0.0:
+            code = code ^ flips[r]
+        pay_a = pay_a + vec[code]
+        pay_b = pay_b + vec_b[code]
+        views = ((views << 2) | code) & (n_states - 1)
+    return xb.to_host(pay_a), xb.to_host(pay_b)
 
 
 def play_pairs(
@@ -109,38 +156,22 @@ def play_pairs(
     """Play ``len(a_idx)`` independent games simultaneously.
 
     Returns ``(payoffs_a, payoffs_b)`` — total payoffs per game to the
-    a-side and b-side players.
+    a-side and b-side players.  Sampled games (noise or mixed strategies)
+    draw their whole ``(rounds, D, n_games)`` uniform block from ``rng``
+    up front; see :func:`play_pairs_uniforms`.
     """
-    a_idx = np.asarray(a_idx, dtype=np.intp)
-    b_idx = np.asarray(b_idx, dtype=np.intp)
-    if a_idx.shape != b_idx.shape or a_idx.ndim != 1:
-        raise ConfigurationError("a_idx and b_idx must be equal-length 1-D arrays")
-    if rounds < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    tables, n, _ = stack_tables(strategies)
-    mask = (4**n) - 1
-    n_games = a_idx.shape[0]
+    from ..xp import get_array_backend
 
-    views_a = np.zeros(n_games, dtype=np.int64)
-    views_b = np.zeros(n_games, dtype=np.int64)
-    pay_a = np.zeros(n_games, dtype=np.float64)
-    pay_b = np.zeros(n_games, dtype=np.float64)
-    vec = payoff.vector
-
-    for _ in range(rounds):
-        moves_a = _apply_noise(
-            _moves_from_tables(tables, a_idx, views_a, rng), noise, rng
-        )
-        moves_b = _apply_noise(
-            _moves_from_tables(tables, b_idx, views_b, rng), noise, rng
-        )
-        code_a = 2 * moves_a.astype(np.int64) + moves_b
-        code_b = 2 * moves_b.astype(np.int64) + moves_a
-        pay_a += vec[code_a]
-        pay_b += vec[code_b]
-        views_a = ((views_a << 2) | code_a) & mask
-        views_b = ((views_b << 2) | code_b) & mask
-    return pay_a, pay_b
+    tables, _, mixed = stack_tables(strategies)
+    a_idx, b_idx = _check_pairs(a_idx, b_idx, rounds, tables.shape[0])
+    shape = (rounds, sampled_draws_per_round(mixed, noise), a_idx.shape[0])
+    if shape[1] and rng is None:
+        raise ConfigurationError("noise > 0 or mixed strategies require an rng")
+    uniforms = rng.random(shape) if shape[1] else np.empty(shape)
+    return _play_rounds(
+        get_array_backend(), tables, a_idx, b_idx, rounds, payoff, noise,
+        uniforms,
+    )
 
 
 def sampled_draws_per_round(mixed: bool, noise: float) -> int:
@@ -169,17 +200,18 @@ def play_pairs_uniforms(
     """:func:`play_pairs` over pre-drawn uniforms, on the ``repro.xp`` seam.
 
     ``uniforms`` has shape ``(rounds, D, n_games)`` with ``D =``
-    :func:`sampled_draws_per_round`; slot ``uniforms[r, s]`` replaces the
-    ``s``-th ``rng.random(...)`` call round ``r`` of :func:`play_pairs`
-    would make.  Because the Philox generator fills a ``(rounds, D, G)``
-    request in C order — exactly ``rounds * D`` sequential length-``G``
-    draws — ``play_pairs_uniforms(..., uniforms=rng.random((rounds, D,
-    G)))`` is **bit-identical** to ``play_pairs(..., rng=rng)`` on the same
-    pairings.  Every per-round operation is elementwise per game, so
-    concatenating several callers' games (and their uniform blocks) along
-    the games axis preserves each caller's bits — the property the batched
-    sampled engine uses to fuse one generation's (or one ensemble
-    generation's many lanes') games into a single kernel call.
+    :func:`sampled_draws_per_round`; slot ``uniforms[r, s]`` is the
+    ``s``-th draw of round ``r``.  :func:`play_pairs` draws exactly this
+    block from its ``rng``, so ``play_pairs_uniforms(...,
+    uniforms=rng.random((rounds, D, G)))`` is **bit-identical** to
+    ``play_pairs(..., rng=rng)`` on the same pairings.  The block must be
+    float64: a narrower one compares differently against ``noise`` and
+    the mix probabilities.  Every per-round operation is elementwise per
+    game, so concatenating several callers' games (and their uniform
+    blocks) along the games axis preserves each caller's bits — the
+    property the batched sampled engine uses to fuse one generation's (or
+    one ensemble generation's many lanes') games into a single kernel
+    call.
 
     ``tables`` is a pre-stacked ``(K, 4**n)`` array in the
     :func:`stack_tables` layout: uint8 rows play deterministically per
@@ -190,71 +222,29 @@ def play_pairs_uniforms(
     """
     from ..xp import get_array_backend
 
-    if xb is None:
-        xb = get_array_backend()
-    xp = xb.xp
-    a_idx = np.asarray(a_idx, dtype=np.intp)
-    b_idx = np.asarray(b_idx, dtype=np.intp)
-    if a_idx.shape != b_idx.shape or a_idx.ndim != 1:
-        raise ConfigurationError("a_idx and b_idx must be equal-length 1-D arrays")
-    if rounds < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    n_games = a_idx.shape[0]
-    mixed = tables.dtype != np.uint8
-    draws = sampled_draws_per_round(mixed, noise)
+    a_idx, b_idx = _check_pairs(a_idx, b_idx, rounds, tables.shape[0])
+    draws = sampled_draws_per_round(tables.dtype != np.uint8, noise)
     if draws == 0:
         raise ConfigurationError(
             "play_pairs_uniforms serves sampled games only (noise > 0 or "
             "mixed tables); pure noiseless pairings are deterministic — "
             "use cycle_payoffs_pairs"
         )
-    expected_shape = (rounds, draws, n_games)
+    expected_shape = (rounds, draws, a_idx.shape[0])
     if tuple(uniforms.shape) != expected_shape:
         raise ConfigurationError(
             f"uniforms must have shape (rounds, draws_per_round, n_games) "
             f"= {expected_shape}, got {tuple(uniforms.shape)}"
         )
-    mask = tables.shape[1] - 1
-
-    dev_tables = xb.to_device(tables)
-    dev_u = xb.to_device(uniforms)
-    dev_a = xb.to_device(a_idx)
-    dev_b = xb.to_device(b_idx)
-    views_a = xp.zeros(n_games, dtype=xp.int64)
-    views_b = xp.zeros(n_games, dtype=xp.int64)
-    pay_a = xp.zeros(n_games, dtype=xp.float64)
-    pay_b = xp.zeros(n_games, dtype=xp.float64)
-    vec = xb.to_device(payoff.vector)
-
-    for r in range(rounds):
-        slot = 0
-        entry_a = dev_tables[dev_a, views_a]
-        if mixed:
-            moves_a = (dev_u[r, slot] < entry_a).astype(xp.uint8)
-            slot += 1
-        else:
-            moves_a = entry_a
-        if noise > 0.0:
-            flips = (dev_u[r, slot] < noise).astype(xp.uint8)
-            moves_a = moves_a ^ flips
-            slot += 1
-        entry_b = dev_tables[dev_b, views_b]
-        if mixed:
-            moves_b = (dev_u[r, slot] < entry_b).astype(xp.uint8)
-            slot += 1
-        else:
-            moves_b = entry_b
-        if noise > 0.0:
-            flips = (dev_u[r, slot] < noise).astype(xp.uint8)
-            moves_b = moves_b ^ flips
-            slot += 1
-        code_a = 2 * moves_a.astype(xp.int64) + moves_b
-        code_b = 2 * moves_b.astype(xp.int64) + moves_a
-        pay_a = pay_a + vec[code_a]
-        pay_b = pay_b + vec[code_b]
-        views_a = ((views_a << 2) | code_a) & mask
-        views_b = ((views_b << 2) | code_b) & mask
-    return xb.to_host(pay_a), xb.to_host(pay_b)
+    if uniforms.dtype != np.float64:
+        raise ConfigurationError(
+            f"uniforms must be float64 draws, got {uniforms.dtype}: a "
+            "narrower block compares differently against noise"
+        )
+    return _play_rounds(
+        xb or get_array_backend(), tables, a_idx, b_idx, rounds, payoff,
+        noise, uniforms,
+    )
 
 
 def cycle_payoffs_pairs(
@@ -302,12 +292,7 @@ def cycle_payoffs_pairs(
             "cycle_payoffs_pairs needs stacked pure (uint8) tables, got "
             f"dtype {tables.dtype}"
         )
-    if rounds < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    a_idx = np.asarray(a_idx, dtype=np.intp)
-    b_idx = np.asarray(b_idx, dtype=np.intp)
-    if a_idx.shape != b_idx.shape or a_idx.ndim != 1:
-        raise ConfigurationError("a_idx and b_idx must be equal-length 1-D arrays")
+    a_idx, b_idx = _check_pairs(a_idx, b_idx, rounds, tables.shape[0])
     n_pairs = a_idx.shape[0]
     if n_pairs == 0:
         return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.float64)
@@ -374,36 +359,7 @@ def payoff_matrix(
     :class:`repro.core.payoff_cache.PayoffCache` when strategies repeat
     across generations.
     """
-    tables, n, _ = stack_tables(strategies)
-    k = tables.shape[0]
-    mask = (4**n) - 1
-    row = np.arange(k, dtype=np.intp)[:, None]
-    col = np.arange(k, dtype=np.intp)[None, :]
-    row_b = np.broadcast_to(row, (k, k))
-    col_b = np.broadcast_to(col, (k, k))
-
-    views = np.zeros((k, k), dtype=np.int64)  # row player's view vs column
-    views_opp = np.zeros((k, k), dtype=np.int64)  # column player's view vs row
-    pay = np.zeros((k, k), dtype=np.float64)
-    vec = payoff.vector
-
-    deterministic = tables.dtype == np.uint8 and noise <= 0.0
-    for _ in range(rounds):
-        moves = _apply_noise(
-            _moves_from_tables(tables, row_b, views, rng), noise, rng
-        )
-        if deterministic:
-            # Same game seen from the other side: the transpose.
-            opp_moves = moves.T
-        else:
-            opp_moves = _apply_noise(
-                _moves_from_tables(tables, col_b, views_opp, rng), noise, rng
-            )
-        code = 2 * moves.astype(np.int64) + opp_moves
-        pay += vec[code]
-        views = ((views << 2) | code) & mask
-        if not deterministic:
-            # Track the opponent's view of each independent game instance.
-            code_opp = 2 * opp_moves.astype(np.int64) + moves
-            views_opp = ((views_opp << 2) | code_opp) & mask
-    return pay
+    k = len(strategies)
+    rows, cols = np.divmod(np.arange(k * k), k)
+    pay, _ = play_pairs(strategies, rows, cols, rounds, payoff, noise, rng)
+    return pay.reshape(k, k)

@@ -101,3 +101,45 @@ class TestSegmentReduce:
             assert np.array_equal(
                 xb.segment_reduce(values, seg), np.array([values.sum()])
             )
+
+
+class TestSampledKernelOnEveryBackend:
+    """The sampled game loop uses functional updates only, so it runs
+    unchanged on every namespace the seam resolves — and must return the
+    NumPy bits there.  ``"transfers"`` is a NumPy namespace behind a
+    non-identity backend, so the device/host transfer path runs even
+    where no accelerator stack is installed."""
+
+    @pytest.mark.parametrize("name", [*KNOWN_BACKENDS, "transfers"])
+    @pytest.mark.parametrize("mixed,noise", [(False, 0.05), (True, 0.0),
+                                             (True, 0.05)])
+    def test_bytes_equal_numpy(self, name, mixed, noise):
+        from repro.core.payoff import PayoffMatrix
+        from repro.core.strategy import random_mixed, random_pure
+        from repro.core.vectorgame import (
+            play_pairs_uniforms,
+            sampled_draws_per_round,
+            stack_tables,
+        )
+
+        rng = np.random.default_rng(11)
+        make = random_mixed if mixed else random_pure
+        tables, _, _ = stack_tables([make(rng, 2) for _ in range(5)])
+        a_idx = rng.integers(0, 5, size=40)
+        b_idx = rng.integers(0, 5, size=40)
+        rounds = 17
+        uniforms = rng.random(
+            (rounds, sampled_draws_per_round(mixed, noise), 40)
+        )
+        payoff = PayoffMatrix(3.1, 0.3, 5.7, 1.3)
+        args = (tables, a_idx, b_idx, rounds, payoff, noise, uniforms)
+        ref_a, ref_b = play_pairs_uniforms(*args)
+        xb = (
+            ArrayBackend("jax", "fake", np, None)
+            if name == "transfers"
+            else get_array_backend(name)
+        )
+        got_a, got_b = play_pairs_uniforms(*args, xb=xb)
+        assert isinstance(got_a, np.ndarray)
+        assert got_a.tobytes() == ref_a.tobytes()
+        assert got_b.tobytes() == ref_b.tobytes()
