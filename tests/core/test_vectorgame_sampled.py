@@ -54,9 +54,9 @@ REGIMES = [
 ]
 
 
-def pairing(memory, mixed, n_games, seed=0):
+def pairing(memory, mixed, n_games):
     """``N_STRATEGIES`` random strategies and ``n_games`` random pairings."""
-    rng = make_rng(1000 * memory + 10 * int(mixed) + seed)
+    rng = make_rng(1000 * memory + 10 * int(mixed))
     make = random_mixed if mixed else random_pure
     strategies = [make(rng, memory) for _ in range(N_STRATEGIES)]
     a_idx = rng.integers(0, N_STRATEGIES, size=n_games)
@@ -65,8 +65,9 @@ def pairing(memory, mixed, n_games, seed=0):
 
 
 def reference_play(tables, a_idx, b_idx, rounds, payoff, noise, uniforms):
-    """Each side tracks its own view and reads its own draw slots in
-    stream order ``[a_mix?, a_noise?, b_mix?, b_noise?]``."""
+    """The plain two-view loop: each side tracks its own view and reads
+    its own draw slots, in stream order ``[a_mix?, a_noise?, b_mix?,
+    b_noise?]``."""
     mixed = tables.dtype != np.uint8
     mask = tables.shape[1] - 1
     slots = iter(range(uniforms.shape[1]))
