@@ -115,8 +115,6 @@ def _evolution_config(args: argparse.Namespace, memory: int) -> EvolutionConfig:
 
 def _backend_opts(args: argparse.Namespace) -> dict[str, object]:
     """Map CLI flags onto the selected backend's options."""
-    if args.backend == "multiprocess":
-        return {"workers": args.workers if args.workers is not None else 2}
     if args.backend == "des":
         return {"n_ranks": args.ranks}
     return {}
@@ -289,17 +287,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"[memory={memory} run={run} seed={seed}] "
               f"{_describe_dominant(result)}")
 
-    # --workers always means "processes working for you": the sweep pool in
-    # general, or the backend's fitness pool for the multiprocess backend
-    # (runs then execute one at a time so counts don't multiply).  Building
-    # the instance here keeps backend options clear of run_sweep's own
-    # workers= keyword.  The ensemble backend defaults to a single
-    # lane-batched process (one shared engine across every replicate);
-    # pass --workers explicitly to chunk its lanes over a pool.
+    # --workers sizes the sweep's process pool.  The ensemble backend
+    # defaults to a single lane-batched process (one shared engine across
+    # every replicate); pass --workers explicitly to chunk its lanes over a
+    # pool.
     backend = get_backend(args.backend)(**_backend_opts(args))
-    if args.backend == "multiprocess":
-        pool_workers = 1
-    elif args.workers is not None:
+    if args.workers is not None:
         pool_workers = args.workers
     else:
         pool_workers = 1 if args.backend == "ensemble" else 2
@@ -552,11 +545,6 @@ def _add_evolution_arguments(parser: argparse.ArgumentParser) -> None:
                              "--checkpoint-dir an interrupted run resumes "
                              "bit-identically from the newest snapshot")
     parser.add_argument("--seed", type=int, default=2013)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size (multiprocess backend / "
-                             "sweep; default 2 — except the ensemble "
-                             "backend, which lane-batches the whole sweep "
-                             "in one process unless told otherwise)")
     parser.add_argument("--ranks", type=int, default=8,
                         help="simulated MPI ranks (des backend)")
 
@@ -665,6 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "every --checkpoint-every generations "
                             "(in-process sweeps only); rerunning the same "
                             "sweep resumes bit-identically")
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="sweep process-pool size (default 2 — except "
+                            "the ensemble backend, which lane-batches the "
+                            "whole sweep in one process unless told "
+                            "otherwise)")
     _add_evolution_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 

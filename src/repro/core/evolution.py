@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import faults
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import CheckpointError
 from ..rng import SeedSequenceTree
 from ..structure import InteractionModel, build_structure
 from .config import EvolutionConfig
@@ -183,26 +183,12 @@ def _resolve_evaluator(
     nature: NatureAgent,
     population: Population,
     cache: PayoffCache | None,
-    evaluator: Evaluator | None,
 ) -> Evaluator:
     """Pick the run's evaluator and (un)bind the population accordingly.
 
-    ``evaluator`` injects a ready-made evaluator — e.g. the multiprocess
-    backend's pool-backed :class:`FitnessEngine` — and must produce the
-    same values as the default for the trajectory to stay on the reference
-    path.  ``cache`` keeps its historical meaning: substitute the legacy
-    payoff evaluator and force the non-engine path.
+    ``cache`` substitutes the legacy payoff evaluator and forces the
+    non-engine path.
     """
-    if evaluator is not None:
-        if cache is not None:
-            raise ConfigurationError(
-                "pass either cache= or evaluator=, not both"
-            )
-        if isinstance(evaluator, FitnessEngine):
-            population.bind_engine(evaluator)
-        else:
-            population.bind_engine(None)
-        return evaluator
     if cache is not None:
         population.bind_engine(None)
         return cache
@@ -332,7 +318,6 @@ def _arm_checkpointing(
     config: EvolutionConfig,
     population: Population | None,
     cache: PayoffCache | None,
-    evaluator: Evaluator | None,
 ):
     """This run's checkpoint sink, or ``None`` when checkpointing is off.
 
@@ -345,7 +330,7 @@ def _arm_checkpointing(
     sink = checkpoint_sink()
     if sink is None:
         return None
-    if population is not None or cache is not None or evaluator is not None:
+    if population is not None or cache is not None:
         return None
     if not checkpointing_supported(config):
         return None
@@ -454,21 +439,18 @@ def run_serial(
     population: Population | None = None,
     *,
     cache: PayoffCache | None = None,
-    evaluator: Evaluator | None = None,
 ) -> EvolutionResult:
     """Faithful generation-by-generation evolution (reference driver).
 
-    ``cache`` substitutes the payoff evaluator (e.g. a process-pool backed
-    one) and disables the :class:`FitnessEngine` for the run; ``evaluator``
-    injects a ready-made engine/cache instead (see
-    :func:`_resolve_evaluator`).  Either must produce the same values as
+    ``cache`` substitutes the legacy payoff evaluator and disables the
+    :class:`FitnessEngine` for the run; it must produce the same values as
     the default for the trajectory to stay on the reference path.
     """
     started = time.perf_counter()
     tree = SeedSequenceTree(config.seed)
     nature = NatureAgent(config, tree)
     structure = build_structure(config.structure, config.n_ssets)
-    sink = _arm_checkpointing(config, population, cache, evaluator)
+    sink = _arm_checkpointing(config, population, cache)
     unit = unit_key([config.to_dict()]) if sink is not None else None
     restored = (
         _resume_run_state(sink, unit, config, nature)
@@ -480,9 +462,7 @@ def run_serial(
     else:
         if population is None:
             population = Population.random(config, tree.generator("init"))
-        evaluator = _resolve_evaluator(
-            config, nature, population, cache, evaluator
-        )
+        evaluator = _resolve_evaluator(config, nature, population, cache)
         if sink is not None:
             _enable_capture_logs(evaluator)
         result = EvolutionResult(config=config, population=population)
@@ -540,20 +520,19 @@ def run_event_driven(
     batch_size: int = 1 << 16,
     *,
     cache: PayoffCache | None = None,
-    evaluator: Evaluator | None = None,
 ) -> EvolutionResult:
     """Fast-forward evolution: identical trajectory, ~1000x faster.
 
     Scans event flags in vectorised batches and executes Python logic only
     at event generations.  Snapshot recording (``record_every``) is aligned
-    to the same generations as :func:`run_serial`.  ``cache`` / ``evaluator``
-    substitute the payoff evaluator (see :func:`run_serial`).
+    to the same generations as :func:`run_serial`.  ``cache`` substitutes
+    the payoff evaluator (see :func:`run_serial`).
     """
     started = time.perf_counter()
     tree = SeedSequenceTree(config.seed)
     nature = NatureAgent(config, tree)
     structure = build_structure(config.structure, config.n_ssets)
-    sink = _arm_checkpointing(config, population, cache, evaluator)
+    sink = _arm_checkpointing(config, population, cache)
     unit = unit_key([config.to_dict()]) if sink is not None else None
     restored = (
         _resume_run_state(sink, unit, config, nature)
@@ -566,9 +545,7 @@ def run_event_driven(
     else:
         if population is None:
             population = Population.random(config, tree.generator("init"))
-        evaluator = _resolve_evaluator(
-            config, nature, population, cache, evaluator
-        )
+        evaluator = _resolve_evaluator(config, nature, population, cache)
         if sink is not None:
             _enable_capture_logs(evaluator)
         result = EvolutionResult(config=config, population=population)

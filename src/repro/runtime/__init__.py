@@ -1,8 +1,9 @@
-"""Real multiprocessing runtime for the fitness kernel.
+"""Process-pool runtime for the payoff-matrix kernel.
 
-The runnable counterpart of the paper's hybrid thread level: row-block
-parallel payoff-matrix evaluation over a process pool, with optional
-shared-memory result assembly and deterministic tree reductions.
+The runnable counterpart of the paper's hybrid thread level, behind the
+runtime ablation benchmark: row-block parallel payoff-matrix evaluation
+over a process pool, with optional shared-memory result assembly and
+deterministic tree reductions.
 """
 
 from .executor import ParallelKernel, parallel_all_fitness, parallel_payoff_matrix

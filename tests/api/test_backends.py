@@ -19,7 +19,7 @@ from repro.api.backends import _REGISTRY
 from repro.core import EvolutionConfig, run_serial
 from repro.errors import ConfigurationError
 
-BUILTINS = ["baseline", "des", "ensemble", "event", "multiprocess", "serial"]
+BUILTINS = ["baseline", "des", "ensemble", "event", "serial"]
 
 
 def tiny_config(**overrides) -> EvolutionConfig:
@@ -32,9 +32,12 @@ class TestRegistry:
     def test_builtins_registered(self):
         assert available_backends() == BUILTINS
 
-    def test_get_backend_unknown(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            get_backend("nonexistent")
+    # "multiprocess" is a retired backend an old caller may still name.
+    @pytest.mark.parametrize("name", ["nonexistent", "multiprocess"])
+    def test_get_backend_unknown(self, name):
+        with pytest.raises(ConfigurationError, match="unknown backend") as err:
+            get_backend(name)
+        assert "registered: " + ", ".join(BUILTINS) in str(err.value)
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -85,17 +88,13 @@ class TestRegistry:
 class TestAllBackendsRun:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_backend_runs_and_reports(self, name):
-        opts = {"multiprocess": {"workers": 2}, "des": {"n_ranks": 4}}.get(
-            name, {}
-        )
+        opts = {"des": {"n_ranks": 4}}.get(name, {})
         result = Simulation(tiny_config(), backend=name, **opts).run()
         assert result.generations_run == 400
         report = result.backend_report
         assert report is not None
         assert report.backend == name
         assert report.wallclock_seconds >= 0.0
-        if name == "multiprocess":
-            assert report.workers == 2
         if name == "des":
             assert report.n_ranks == 4
             assert report.makespan_seconds > 0.0
@@ -119,16 +118,6 @@ class TestCrossBackendTrajectory:
                 s.generation for s in reference.snapshots
             ], name
 
-    def test_multiprocess_identical(self):
-        cfg = tiny_config()
-        reference = Simulation(cfg, backend="event").run()
-        pooled = Simulation(cfg, backend="multiprocess", workers=2).run()
-        assert pooled.events == reference.events
-        assert np.array_equal(
-            pooled.population.strategy_matrix(),
-            reference.population.strategy_matrix(),
-        )
-
     def test_des_same_events_and_population(self):
         cfg = tiny_config()
         reference = Simulation(cfg, backend="serial").run()
@@ -144,24 +133,11 @@ class TestCrossBackendTrajectory:
 
 
 class TestBackendValidation:
-    def test_multiprocess_rejects_stochastic(self):
-        with pytest.raises(ConfigurationError, match="multiprocess"):
-            Simulation(
-                tiny_config(noise=0.1), backend="multiprocess", workers=2
-            ).run()
-
-    def test_multiprocess_rejects_expected_fitness(self):
-        with pytest.raises(ConfigurationError, match="multiprocess"):
-            Simulation(
-                tiny_config(noise=0.01, expected_fitness=True),
-                backend="multiprocess",
-            ).run()
-
     def test_baseline_rejects_stochastic(self):
         with pytest.raises(ConfigurationError):
             Simulation(tiny_config(noise=0.1), backend="baseline").run()
 
-    @pytest.mark.parametrize("name", ["baseline", "des", "multiprocess"])
+    @pytest.mark.parametrize("name", ["baseline", "des"])
     def test_noisy_expected_fitness_rejected(self, name):
         """Noise+expected_fitness isn't `is_stochastic`, but these backends
         would silently drop the noise model — they must refuse it."""
@@ -169,13 +145,13 @@ class TestBackendValidation:
         with pytest.raises(ConfigurationError, match=name):
             Simulation(cfg, backend=name).run()
 
-    @pytest.mark.parametrize("name", ["baseline", "des", "multiprocess"])
+    @pytest.mark.parametrize("name", ["baseline", "des"])
     def test_expected_fitness_rejected(self, name):
         cfg = tiny_config(expected_fitness=True)
         with pytest.raises(ConfigurationError, match=name):
             Simulation(cfg, backend=name).run()
 
-    @pytest.mark.parametrize("name", ["event", "multiprocess"])
+    @pytest.mark.parametrize("name", ["event", "ensemble"])
     def test_nonpositive_batch_size_rejected(self, name):
         """batch_size <= 0 would loop forever in run_event_driven."""
         with pytest.raises(ConfigurationError, match="batch_size"):
@@ -187,23 +163,12 @@ class TestBackendValidation:
                 tiny_config(record_every=50), backend="des", n_ranks=4
             ).run()
 
-    @pytest.mark.parametrize("name", ["baseline", "des", "multiprocess"])
+    @pytest.mark.parametrize("name", ["baseline", "des"])
     def test_direct_run_also_validates(self, name):
         """The guard holds for bare Backend.run(), not just Simulation."""
         cfg = tiny_config(noise=0.01, expected_fitness=True)
         with pytest.raises(ConfigurationError, match=name):
             get_backend(name)().run(cfg)
-
-    def test_multiprocess_rejects_non_integer_payoff(self):
-        """Bit-identity to serial holds only for integer payoffs."""
-        from repro.core import PayoffMatrix
-
-        cfg = tiny_config(
-            payoff=PayoffMatrix(reward=3.0, sucker=0.0, temptation=5.1,
-                                punishment=1.0)
-        )
-        with pytest.raises(ConfigurationError, match="integer-valued"):
-            Simulation(cfg, backend="multiprocess").run()
 
     def test_des_rejects_cost_only_parallel(self):
         from repro.framework import ParallelConfig
