@@ -32,11 +32,15 @@ class TestRegistry:
     def test_builtins_registered(self):
         assert available_backends() == BUILTINS
 
-    # "multiprocess" is a retired backend an old caller may still name.
-    @pytest.mark.parametrize("name", ["nonexistent", "multiprocess"])
-    def test_get_backend_unknown(self, name):
+    def test_get_backend_unknown(self):
         with pytest.raises(ConfigurationError, match="unknown backend") as err:
-            get_backend(name)
+            get_backend("nonexistent")
+        assert "registered: " + ", ".join(BUILTINS) in str(err.value)
+
+    def test_get_backend_retired_name(self):
+        """An old caller may still name the removed multiprocess backend."""
+        with pytest.raises(ConfigurationError, match="unknown backend") as err:
+            get_backend("multiprocess")
         assert "registered: " + ", ".join(BUILTINS) in str(err.value)
 
     def test_duplicate_name_rejected(self):
@@ -98,6 +102,30 @@ class TestAllBackendsRun:
         if name == "des":
             assert report.n_ranks == 4
             assert report.makespan_seconds > 0.0
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_workers_option_rejected(self, name):
+        """No backend sizes a process pool; run_sweep(workers=) does."""
+        with pytest.raises(TypeError, match="workers"):
+            Simulation(tiny_config(), backend=name, workers=2)
+
+    def test_report_has_no_workers_field(self):
+        import dataclasses
+
+        from repro.api import BackendReport
+
+        result = Simulation(tiny_config(), backend="event").run()
+        report = result.backend_report
+        assert "workers" not in {f.name for f in dataclasses.fields(report)}
+        assert "workers=" not in report.summary()
+        with pytest.raises(TypeError, match="workers"):
+            BackendReport(backend="event", wallclock_seconds=0.0, workers=2)
+
+    def test_retired_backend_not_exported(self):
+        import repro.api
+
+        assert "MultiprocessBackend" not in repro.api.__all__
+        assert not hasattr(repro.api, "MultiprocessBackend")
 
 
 class TestCrossBackendTrajectory:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     EvolutionConfig,
+    PayoffCache,
     Population,
     all_d,
     run_baseline,
@@ -110,6 +111,32 @@ class TestTrajectoryEquivalence:
         r1 = run_serial(cfg)
         r2 = run_event_driven(cfg)
         assert r1.events == r2.events
+
+
+class TestLegacyCacheSubstitution:
+    """``cache=`` swaps in the legacy payoff evaluator as a reference."""
+
+    @pytest.mark.parametrize("driver", [run_serial, run_event_driven])
+    def test_cache_matches_default_trajectory(self, driver, small_config):
+        reference = driver(small_config)
+        cache = PayoffCache(small_config.rounds, small_config.payoff)
+        legacy = driver(small_config, cache=cache)
+        assert legacy.events == reference.events
+        assert np.array_equal(
+            legacy.population.strategy_matrix(),
+            reference.population.strategy_matrix(),
+        )
+        # The supplied cache did the work, with no engine bound.
+        assert cache.misses > 0 and len(cache) > 0
+        assert legacy.population.engine is None
+        assert reference.population.engine is not None
+
+    @pytest.mark.parametrize("driver", [run_serial, run_event_driven])
+    def test_evaluator_keyword_is_gone(self, driver, small_config):
+        """Only ``cache=`` substitutes the evaluator now."""
+        cache = PayoffCache(small_config.rounds, small_config.payoff)
+        with pytest.raises(TypeError, match="evaluator"):
+            driver(small_config, evaluator=cache)
 
 
 class TestDynamicsBehaviour:

@@ -16,6 +16,7 @@ from repro.core import (
     tft,
     wsls,
 )
+from repro.core.cycle import exact_payoffs
 from repro.core.markov import expected_payoffs_many
 from repro.rng import make_rng
 
@@ -60,6 +61,50 @@ class TestExpectedCache:
         batch = cache.payoffs_to_many(wsls(1), opponents)
         for i, b in enumerate(opponents):
             assert batch[i] == pytest.approx(cache.payoff_to(wsls(1), b))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_payoffs_to_many_bytes_equal_to_batch_kernel(self, noise):
+        """Both directions of every batched miss land in the cache exactly
+        as the one-vs-many kernel produced them."""
+        rng = make_rng(21)
+        a = random_pure(rng, 2)
+        opponents = [random_pure(rng, 2) for _ in range(6)]
+        cache = PayoffCache(rounds=50, noise=noise, expected=True)
+        batch = cache.payoffs_to_many(a, opponents)
+        to_a, to_b = expected_payoffs_many(a, opponents, 50, noise=noise)
+        assert batch.tobytes() == to_a.tobytes()
+        assert (cache.hits, cache.misses) == (0, len(opponents))
+        for i, b in enumerate(opponents):
+            assert cache.pair_payoffs(b, a) == (to_b[i], to_a[i])
+        assert cache.hits == len(opponents)
+
+    def test_payoffs_to_many_evaluates_only_missing(self):
+        rng = make_rng(22)
+        a = random_mixed(rng, 1)
+        opponents = [random_mixed(rng, 1) for _ in range(4)]
+        cache = PayoffCache(rounds=40, noise=0.01, expected=True)
+        cache.pair_payoffs(a, opponents[1])
+        cache.enable_eval_log()
+        first = cache.payoffs_to_many(a, opponents)
+        assert (cache.hits, cache.misses) == (1, 4)
+        missing = [opponents[i] for i in (0, 2, 3)]
+        assert cache._eval_log == [("many", a, missing)]
+        again = cache.payoffs_to_many(a, opponents)
+        assert again.tobytes() == first.tobytes()
+        assert (cache.hits, cache.misses) == (5, 4)
+        assert len(cache._eval_log) == 1
+
+    def test_payoffs_to_many_per_pair_outside_expected_mode(self):
+        """Pure noiseless play takes the exact cycle path pair by pair."""
+        rng = make_rng(23)
+        a = random_pure(rng, 2)
+        opponents = [random_pure(rng, 2) for _ in range(3)]
+        cache = PayoffCache(rounds=50)
+        cache.enable_eval_log()
+        batch = cache.payoffs_to_many(a, opponents)
+        for i, b in enumerate(opponents):
+            assert batch[i] == exact_payoffs(a, b, 50)[0]
+        assert [entry[0] for entry in cache._eval_log] == ["pair"] * 3
 
     def test_histogram_fitness_expected_mode(self):
         hist = StrategyHistogram.from_strategies([tft(1), tft(1), wsls(1)])

@@ -91,6 +91,15 @@ class TestExecution:
             with pytest.raises(ConfigurationError, match="warp-drive"):
                 queue.submit(spec_for(seed=80, backend="warp-drive"))
 
+    def test_retired_backend_rejected_at_submit(self):
+        """A client still naming the removed multiprocess backend gets the
+        registered names back instead of a queued job."""
+        with JobQueue(workers=1) as queue:
+            with pytest.raises(ConfigurationError, match="registered: ") as err:
+                queue.submit(spec_for(seed=81, backend="multiprocess"))
+            assert "'multiprocess'" in str(err.value)
+            assert queue.jobs() == []
+
     def test_warm_pool_lifecycle(self):
         pool = WarmEnginePool()
         with JobQueue(workers=1, pool=pool) as queue:

@@ -140,6 +140,15 @@ class TestStructuredRuns:
         assert report is not None
         assert report.structure == config.canonical_structure()
 
+    def test_ensemble_matches_event(self):
+        config = EvolutionConfig(
+            n_ssets=16, generations=1200, seed=5, structure="ring:k=2"
+        )
+        event = Simulation(config, backend="event").run()
+        ensemble = Simulation(config, backend="ensemble").run()
+        assert event_hash(event) == event_hash(ensemble)
+        assert population_hash(event) == population_hash(ensemble)
+
     def test_structured_differs_from_well_mixed(self):
         base = EvolutionConfig(n_ssets=36, generations=2500, seed=17)
         ring = base.with_updates(structure="ring:k=4")

@@ -110,6 +110,13 @@ class TestEvolveBackends:
         with pytest.raises(SystemExit):
             main(["evolve", "--backend", "warp-drive"])
 
+    @pytest.mark.parametrize("command", ["evolve", "sweep"])
+    def test_retired_multiprocess_backend_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *SMALL, "--backend", "multiprocess"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'multiprocess'" in capsys.readouterr().err
+
     def test_new_science_flags(self, capsys):
         assert main(
             ["evolve", *SMALL, "--pc-rate", "0.2", "--mutation-rate", "0.01",
@@ -157,6 +164,23 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert out.count("dominant:") == 2
         assert "2 runs complete" in out
+
+    def test_workers_pool_matches_inline(self, capsys):
+        """--workers sizes the sweep pool; runs come back unchanged."""
+        argv = ["sweep", "--ssets", "8", "--generations", "200", "--rounds",
+                "16", "--runs", "2", "--base-seed", "5", "--backend",
+                "event", "--workers"]
+
+        def run_lines(workers: str) -> tuple[list[str], str]:
+            assert main([*argv, workers]) == 0
+            out = capsys.readouterr().out
+            runs = [l for l in out.splitlines() if l.startswith("[memory=")]
+            return runs, out.splitlines()[-1]
+
+        inline, inline_tail = run_lines("1")
+        pooled, pooled_tail = run_lines("2")
+        assert len(inline) == 2 and pooled == inline
+        assert "workers=1" in inline_tail and "workers=2" in pooled_tail
 
     def test_default_base_seed_gives_distinct_replicates(self, capsys):
         assert main(
