@@ -5,9 +5,21 @@ state, evaluator state, RNG stream positions, event/snapshot logs, counters)
 is one small directory —
 
 ``state.npz``
-    every array of the capture, compressed;
+    every array of the capture, packed: one flat member per distinct dtype
+    (all arrays of that dtype concatenated in C order) plus an index member
+    — a uint8 array of JSON ``[name, dtype, shape, buffer, offset]``
+    entries — compressed with fast (level-1) deflate;
 ``meta.json``
     the capture's JSON metadata plus the state file's sha256 checksum.
+
+Packing by dtype keeps the container's member count independent of how
+many arrays a capture holds: a lane-batched ensemble captures about 18
+small arrays per lane, and with one zip member (and ``.npy`` header) per
+array the per-member overhead, not the data, would dominate a save.  The
+index sits inside ``state.npz``, so the checksum covers it.  A ``state.npz`` with no
+index member is a snapshot from before the packed layout (one member per
+array); it still loads, member by member.  Object and structured arrays
+cannot be packed and are refused at save time, never written.
 
 Crash safety follows :mod:`repro.io.results_writer` exactly: the state file
 is written and fsync'd *first* and ``meta.json`` — carrying its checksum —
@@ -31,10 +43,13 @@ older snapshot (and finally to a fresh start) instead of failing the run.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import re
 import shutil
+import zipfile
 from pathlib import Path
 from typing import Any
 
@@ -42,13 +57,69 @@ import numpy as np
 
 from .. import faults
 from ..errors import CheckpointError
-from .results_writer import _quarantine, _sha256_file
+from .results_writer import _quarantine
 
 __all__ = ["save_run_checkpoint", "load_run_checkpoint", "RunCheckpointer"]
 
 _META = "meta.json"
 _STATE = "state.npz"
 _GEN_DIR = re.compile(r"gen-(\d+)")
+#: Member holding the packed layout's index; its absence marks the
+#: one-member-per-array layout written before packing.
+_INDEX = "__index__"
+
+
+def _pack(arrays: dict[str, np.ndarray]) -> bytes:
+    """The ``state.npz`` bytes for ``arrays`` in the packed layout."""
+    names: dict[str, str] = {}  # dtype str -> its buffer member
+    chunks: dict[str, list[np.ndarray]] = {}
+    sizes: dict[str, int] = {}
+    index = []
+    for name, value in arrays.items():
+        array = np.asarray(value)
+        if array.dtype.hasobject or array.dtype.kind == "V":
+            raise CheckpointError(
+                f"cannot checkpoint array {name!r}: dtype {array.dtype} "
+                f"is not a plain numeric, bool or string dtype"
+            )
+        dtype = array.dtype.str
+        member = names.setdefault(dtype, f"buf{len(names)}")
+        offset = sizes.get(member, 0)
+        chunks.setdefault(member, []).append(array.reshape(-1))
+        sizes[member] = offset + array.size
+        index.append([name, dtype, list(array.shape), member, offset])
+    members = {_INDEX: np.frombuffer(
+        json.dumps(index, separators=(",", ":")).encode(), np.uint8
+    )}
+    members.update(
+        (member, np.concatenate(parts)) for member, parts in chunks.items()
+    )
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(
+        buffer, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
+        for member, array in members.items():
+            with archive.open(member + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _unpack(raw: bytes) -> dict[str, np.ndarray]:
+    """Parse ``state.npz`` bytes of either layout into independent arrays."""
+    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+        if _INDEX not in data.files:
+            return {name: data[name] for name in data.files}
+        index = json.loads(data[_INDEX].tobytes())
+        flats = {name: data[name] for name in data.files if name != _INDEX}
+    arrays = {}
+    for name, dtype, shape, member, offset in index:
+        flat = flats[member]
+        count = int(np.prod(shape, dtype=np.int64))
+        piece = flat[offset:offset + count]
+        if flat.dtype != np.dtype(dtype) or offset < 0 or piece.size != count:
+            raise ValueError(f"index entry for {name!r} does not fit {member}")
+        arrays[name] = piece.reshape(shape).copy()
+    return arrays
 
 
 def save_run_checkpoint(
@@ -59,8 +130,11 @@ def save_run_checkpoint(
     """Persist one captured run state; returns the snapshot directory.
 
     State file first (fsync'd), checksummed ``meta.json`` last — the
-    completeness marker (see the module docstring).
+    completeness marker (see the module docstring).  An array the packed
+    layout cannot hold (object or structured dtype) raises
+    :class:`~repro.errors.CheckpointError` before anything is written.
     """
+    payload = _pack(arrays)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     # A re-save over an existing snapshot (the same boundary reached again
@@ -73,13 +147,13 @@ def save_run_checkpoint(
     faults.check("io.save_checkpoint", stage="start")
     state_path = directory / _STATE
     with state_path.open("wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
     faults.check("io.save_checkpoint", stage="state")
 
     record = dict(meta)
-    record["checksums"] = {_STATE: _sha256_file(state_path)}
+    record["checksums"] = {_STATE: hashlib.sha256(payload).hexdigest()}
     with meta_path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
         fh.flush()
@@ -129,14 +203,14 @@ def load_run_checkpoint(
     if not state_path.exists():
         raise corrupt(f"missing {_STATE}")
     expected = checksums.get(_STATE)
-    actual = _sha256_file(state_path)
+    raw = state_path.read_bytes()
+    actual = hashlib.sha256(raw).hexdigest()
     if actual != expected:
         raise corrupt(
             f"{_STATE} sha256 mismatch: expected {expected}, got {actual}"
         )
     try:
-        with np.load(state_path) as data:
-            arrays = {name: data[name] for name in data.files}
+        arrays = _unpack(raw)
     except Exception as err:
         raise corrupt(f"unreadable {_STATE}: {err}") from err
     meta = {k: v for k, v in meta.items() if k != "checksums"}

@@ -13,6 +13,12 @@ goes through the :mod:`repro.faults` corrupt machinery.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import shutil
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -20,6 +26,7 @@ from repro import faults
 from repro.core import EvolutionConfig
 from repro.core.evolution import run_serial
 from repro.core.runstate import checkpoint_scope
+from repro.ensemble.driver import run_ensemble
 from repro.errors import CheckpointError
 from repro.io.run_checkpoint import (
     RunCheckpointer,
@@ -86,11 +93,9 @@ def truncate_via_harness(path, offset: int) -> None:
     assert plan.stats()[0]["triggered"] == 1
 
 
-@pytest.mark.parametrize("name", SNAPSHOT_FILES)
-def test_every_byte_truncation_loads_identically_or_misses_cleanly(
-    name, pristine
-):
-    snapshot, loaded, raw = pristine
+def sweep_every_truncation(snapshot, loaded, raw, name) -> None:
+    """Tear ``snapshot/name`` at every byte; each load must be identical or
+    a typed miss."""
     path = snapshot / name
     size = len(raw[name])
     clean_loads = 0
@@ -113,6 +118,84 @@ def test_every_byte_truncation_loads_identically_or_misses_cleanly(
     else:
         assert clean_loads == 1
     assert_same_snapshot(load_run_checkpoint(snapshot), loaded)
+
+
+@pytest.mark.parametrize("name", SNAPSHOT_FILES)
+def test_every_byte_truncation_loads_identically_or_misses_cleanly(
+    name, pristine
+):
+    sweep_every_truncation(*pristine, name)
+
+
+#: A 3-lane ensemble group: every lane's arrays share the packed members.
+ENSEMBLE_CONFIGS = [
+    EvolutionConfig(n_ssets=4, generations=80, rounds=8, seed=920 + r,
+                    record_every=40, checkpoint_every=40)
+    for r in range(3)
+]
+
+
+@pytest.fixture(scope="module")
+def ensemble_pristine(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ensemble-pristine")
+    checkpointer = RunCheckpointer(root)
+    with checkpoint_scope(checkpointer):
+        run_ensemble(ENSEMBLE_CONFIGS)
+    (unit_dir,) = [p for p in root.iterdir() if p.name.startswith("unit-")]
+    (snapshot,) = sorted(unit_dir.iterdir())
+    loaded = load_run_checkpoint(snapshot)
+    assert loaded[0]["kind"] == "ensemble"
+    raw = {name: (snapshot / name).read_bytes() for name in SNAPSHOT_FILES}
+    return snapshot, loaded, raw
+
+
+@pytest.mark.parametrize("name", SNAPSHOT_FILES)
+def test_every_byte_truncation_of_ensemble_snapshot(name, ensemble_pristine):
+    sweep_every_truncation(*ensemble_pristine, name)
+
+
+def index_member_offset(state_path) -> int:
+    """File offset of the middle of the index member's compressed bytes."""
+    with zipfile.ZipFile(state_path) as archive:
+        info = archive.getinfo("__index__.npy")
+    with state_path.open("rb") as fh:
+        fh.seek(info.header_offset)
+        header = fh.read(30)  # the fixed part of the local file header
+    name_len, extra_len = struct.unpack("<HH", header[26:30])
+    start = info.header_offset + 30 + name_len + extra_len
+    return start + info.compress_size // 2
+
+
+@pytest.mark.parametrize("restamp", [False, True],
+                         ids=["checksum", "parser"])
+def test_flipped_index_byte_is_corruption_and_quarantined(
+    restamp, ensemble_pristine, tmp_path
+):
+    """One flipped byte in the index member is caught — by the checksum,
+    and by the parser when the checksum is re-stamped over the damage."""
+    source, _, _ = ensemble_pristine
+    snapshot = tmp_path / source.name
+    shutil.copytree(source, snapshot)
+    state = snapshot / "state.npz"
+    plan = faults.FaultPlan.from_dict({"faults": [
+        {"site": "test.flip", "action": "corrupt", "mode": "flip",
+         "at": index_member_offset(state)},
+    ]})
+    with faults.armed(plan):
+        faults.corrupt_file("test.flip", state)
+    assert plan.stats()[0]["triggered"] == 1
+    if restamp:
+        meta_path = snapshot / "meta.json"
+        record = json.loads(meta_path.read_text())
+        record["checksums"]["state.npz"] = hashlib.sha256(
+            state.read_bytes()
+        ).hexdigest()
+        meta_path.write_text(json.dumps(record))
+    with pytest.raises(CheckpointError,
+                       match="unreadable" if restamp else "sha256 mismatch"):
+        load_run_checkpoint(snapshot, quarantine=True)
+    assert not snapshot.exists()
+    assert snapshot.with_name(snapshot.name + ".corrupt").is_dir()
 
 
 def test_missing_meta_is_a_clean_miss_not_corruption(pristine):
